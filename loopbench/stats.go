@@ -1,0 +1,42 @@
+package main
+
+import (
+	"math"
+	"sort"
+)
+
+// quantile returns the q-quantile of xs by linear interpolation between
+// closest ranks (the same rule as numpy's default). xs is not modified.
+// An empty input gives NaN, which the result writer refuses to print.
+func quantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return math.NaN()
+	}
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	pos := q * float64(len(s)-1)
+	lo := int(math.Floor(pos))
+	hi := int(math.Ceil(pos))
+	if lo == hi {
+		return s[lo]
+	}
+	return s[lo] + (s[hi]-s[lo])*(pos-float64(lo))
+}
+
+func median(xs []float64) float64 { return quantile(xs, 0.5) }
+
+func sum(xs []float64) float64 {
+	t := 0.0
+	for _, x := range xs {
+		t += x
+	}
+	return t
+}
+
+// ratio returns num/den, or 0 when den is 0 (a layer that did no work).
+func ratio(num, den float64) float64 {
+	if den == 0 {
+		return 0
+	}
+	return num / den
+}

@@ -84,13 +84,14 @@ traces:
 	$(GO) run ./cmd/tracegen -out testdata/traces/agiliocx.json -target agiliocx -seed 21
 
 # bench runs the hot-path micro-benchmarks (emulator fast path, parallel
-# measurement, search) plus the Figure 12 profiling-overhead benches, and
-# archives the parsed results in BENCH_emulator.json (see DESIGN.md's
-# "Performance architecture" for how to read it).
+# measurement, cold/warm/warm-miss search, sweep, placement, plan apply,
+# lint) plus the Figure 12 profiling-overhead benches, and archives the
+# parsed results in BENCH_emulator.json (see DESIGN.md's "Performance
+# architecture" for how to read it).
+BENCHES = 'BenchmarkEmulatorProcess|BenchmarkMeasureParallel|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSearchWarmMiss$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20|BenchmarkApplyPlan$$|BenchmarkLintSynthProgram$$'
+BENCHPKGS = . ./internal/analysis/
 bench:
-	$(GO) test -run '^$$' \
-		-bench 'BenchmarkEmulatorProcess|BenchmarkMeasureParallel|BenchmarkSearch$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20' \
-		-benchmem . | $(GO) run ./cmd/benchjson -out BENCH_emulator.json
+	$(GO) test -run '^$$' -bench $(BENCHES) -benchmem $(BENCHPKGS) | $(GO) run ./cmd/benchjson -out BENCH_emulator.json
 
 # benchcheck is the bench-regression gate: rerun the hot-path bench set
 # (-count=3; the gate compares best-of-3 per metric) and fail (exit
@@ -102,7 +103,6 @@ bench:
 # the baseline with `make bench` after intentional performance changes.
 MAXREGRESS ?= 0.15
 benchcheck:
-	$(GO) test -run '^$$' -count=3 \
-		-bench 'BenchmarkEmulatorProcess|BenchmarkMeasureParallel|BenchmarkSearch$$|BenchmarkSearchCold$$|BenchmarkSearchWarm$$|BenchmarkSweep$$|BenchmarkFig12|BenchmarkPlacementPlan$$|BenchmarkFig20' \
-		-benchmem . | $(GO) run ./cmd/benchjson -compare BENCH_emulator.json -max-regress $(MAXREGRESS) \
-		-gate 'Fig12|EmulatorProcess|MeasureParallel/workers=1$$|Search$$|SearchCold$$|SearchWarm$$|Sweep$$|PlacementPlan$$'
+	$(GO) test -run '^$$' -count=3 -bench $(BENCHES) -benchmem $(BENCHPKGS) | \
+		$(GO) run ./cmd/benchjson -compare BENCH_emulator.json -max-regress $(MAXREGRESS) \
+		-gate 'Fig12|EmulatorProcess|MeasureParallel/workers=1$$|SearchCold$$|SearchWarm$$|SearchWarmMiss$$|Sweep$$|PlacementPlan$$'

@@ -490,23 +490,12 @@ func BenchmarkMeasureParallel(b *testing.B) {
 	}
 }
 
-// BenchmarkSearch measures one full optimization round.
-func BenchmarkSearch(b *testing.B) {
-	prog, cfg, pm, _ := ablationSearchInput()
-	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 7, Category: synth.Mixed})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := opt.Search(prog, prof, pm, *cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkSearchCold measures one full optimization round on a fresh
 // session per iteration — everything (partition, dependency analysis,
-// candidate enumeration, verification) from scratch. The warm/cold pair
-// is the headline of the incremental search engine: same program, same
-// profile, identical (bit-for-bit) results.
+// candidate enumeration, verification) from scratch. It is what the cold
+// entry point opt.Search runs. The warm/cold pair is the headline of the
+// incremental search engine: same program, same profile, identical
+// (bit-for-bit) results.
 func BenchmarkSearchCold(b *testing.B) {
 	prog, cfg, pm, _ := ablationSearchInput()
 	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 7, Category: synth.Mixed})
@@ -541,6 +530,34 @@ func BenchmarkSearchWarm(b *testing.B) {
 		if _, err := s.Search(prof); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSearchWarmMiss measures a warm session in the regime of the
+// runtime's round loop: every round sees a changed profile — here one
+// table's entry-update rate alternates between two values — so the unit
+// holding that table misses the memo and is enumerated and scored again,
+// while the session's other state stays warm.
+func BenchmarkSearchWarmMiss(b *testing.B) {
+	prog, cfg, pm, _ := ablationSearchInput()
+	prof := synth.SynthesizeProfile(prog, synth.ProfileSpec{Seed: 7, Category: synth.Mixed}).Clone()
+	s, err := opt.NewSession(prog, pm, *cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := s.Search(prof); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		prof.UpdateRates["t1"] = float64(1 + i%2)
+		if _, err := s.Search(prof); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	if st := s.Stats(); st.UnitMisses < uint64(b.N) {
+		b.Fatalf("%d unit misses over %d rounds: the update-rate change must miss the memo", st.UnitMisses, b.N)
 	}
 }
 

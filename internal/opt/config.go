@@ -159,19 +159,10 @@ func DefaultConfig() Config {
 	}
 }
 
-// hitEstimate returns the estimated hit rate for a cache with the given
-// budget over a working set of ws distinct keys, honoring overrides.
-func (c Config) hitEstimate(spanKey string, ws uint64) float64 {
-	if h, ok := c.HitRateOverride[spanKey]; ok {
-		return h
-	}
-	return c.hitEstimateNoOverride(ws)
-}
-
-// hitEstimateNoOverride is the model part of hitEstimate. The dense
-// candidate loop calls it directly so the span-key string (which exists
-// only to key HitRateOverride) is never built when no overrides are set.
-func (c Config) hitEstimateNoOverride(ws uint64) float64 {
+// hitEstimate is the model hit rate of a cache with the configured budget
+// over a working set of ws distinct keys. Spans with an observed rate in
+// HitRateOverride use that instead (Evaluator.hitEstimateIdx).
+func (c Config) hitEstimate(ws uint64) float64 {
 	if ws == 0 {
 		return c.EstimatedHitRate
 	}

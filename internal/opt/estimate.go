@@ -164,13 +164,6 @@ func (ev *Evaluator) actLatOf(name string) float64 {
 	return 0
 }
 
-func (ev *Evaluator) dropOf(name string) float64 {
-	if i := ev.idxOf(name); i >= 0 {
-		return ev.dropRate[i]
-	}
-	return 0
-}
-
 // elemKind labels one element of a transformed pipelet layout.
 type elemKind int
 
@@ -212,21 +205,10 @@ func buildSequence(order []string, segs []Segment) []seqElem {
 	return out
 }
 
-// spanStats aggregates the model quantities of a table span: the original
-// per-entering-packet cost, the expected combined action cost, and the
-// span's aggregate drop probability. Within the span, traffic surviving
-// table i proceeds to table i+1.
-func (ev *Evaluator) spanStats(tables []string) (origCost, actSum, dropProb float64) {
-	flow := 1.0
-	for _, t := range tables {
-		origCost += flow * (ev.matchLatOf(t) + ev.actLatOf(t))
-		actSum += flow * ev.actLatOf(t)
-		flow *= 1 - ev.dropOf(t)
-	}
-	return origCost, actSum, 1 - flow
-}
-
-// spanStatsIdx is spanStats over dense indices (the hot path).
+// spanStatsIdx aggregates the model quantities of a table span: the
+// original per-entering-packet cost, the expected combined action cost,
+// and the span's aggregate drop probability. Within the span, traffic
+// surviving table i proceeds to table i+1.
 func (ev *Evaluator) spanStatsIdx(span []int) (origCost, actSum, dropProb float64) {
 	flow := 1.0
 	for _, ti := range span {
@@ -290,17 +272,35 @@ func (ev *Evaluator) mergedMIdx(span []int) int {
 	return m
 }
 
-// hitEstimateIdx resolves the estimated hit rate of a cache over a span.
-// The span-key string only exists to key HitRateOverride, so it is built
-// only when overrides are present — the common no-override hot path is
-// allocation-free.
-func (ev *Evaluator) hitEstimateIdx(spanNames []string, span []int) float64 {
-	if len(ev.cfg.HitRateOverride) > 0 {
-		if h, ok := ev.cfg.HitRateOverride[SpanKey(spanNames)]; ok {
-			return h
-		}
+// spanOverride looks up the span's HitRateOverride entry. The runtime
+// writes observed hit rates there every round, so the lookup is on the
+// live path; the SpanKey is assembled in kb (grown as needed and returned
+// for reuse), and indexing the map with string(kb) allocates nothing.
+func (ev *Evaluator) spanOverride(names []string, kb []byte) (float64, bool, []byte) {
+	if len(ev.cfg.HitRateOverride) == 0 {
+		return 0, false, kb
 	}
-	return ev.cfg.hitEstimateNoOverride(ev.workingSetIdx(span))
+	kb = kb[:0]
+	for i, t := range names {
+		if i > 0 {
+			kb = append(kb, '+')
+		}
+		kb = append(kb, t...)
+	}
+	h, ok := ev.cfg.HitRateOverride[string(kb)]
+	return h, ok, kb
+}
+
+// hitEstimateIdx resolves the estimated hit rate of a cache over a span:
+// the observed rate when the runtime has fed one back for this span, the
+// working-set model otherwise. The candidate search calls it once per
+// legal cache span per order, not once per candidate.
+func (ev *Evaluator) hitEstimateIdx(names []string, span []int, kb []byte) (float64, []byte) {
+	h, ok, kb := ev.spanOverride(names, kb)
+	if !ok {
+		h = ev.cfg.hitEstimate(ev.workingSetIdx(span))
+	}
+	return h, kb
 }
 
 // invalidationDiscount applies the §3.2.2 cache-invalidation penalty:
@@ -317,57 +317,43 @@ func (ev *Evaluator) invalidationDiscount(h float64, span []int) float64 {
 	return h
 }
 
-// seqLatency returns the expected per-packet latency of a pipelet layout
-// for one packet entering the pipelet. (Compatibility path over node
-// names; the candidate loop uses seqLatencyIdx.)
-func (ev *Evaluator) seqLatency(elems []seqElem) float64 {
-	flow := 1.0
-	var total float64
-	for _, e := range elems {
-		switch e.kind {
-		case elemTable:
-			t := e.tables[0]
-			total += flow * (ev.matchLatOf(t) + ev.actLatOf(t))
-			flow *= 1 - ev.dropOf(t)
-		case elemCache:
-			origCost, actSum, dropP := ev.spanStats(e.tables)
-			h := ev.cfg.hitEstimate(SpanKey(e.tables), ev.workingSetNames(e.tables))
-			h = ev.invalidationDiscountNames(h, e.tables)
-			// One exact probe always; on a hit the combined action
-			// applies; on a miss the packet falls through to the
-			// original tables.
-			total += flow * (ev.pm.Lmat + h*actSum + (1-h)*origCost)
-			flow *= 1 - dropP
-		case elemMerge:
-			origCost, actSum, dropP := ev.spanStats(e.tables)
-			if ev.allExactNames(e.tables) {
-				// Merged-exact cache with fallback (§3.2.3: "Pipeleon
-				// addresses this by generating a merged exact table
-				// without ternary entries as a cache").
-				h := ev.cfg.MergedCacheHitRate
-				if hh, ok := ev.cfg.HitRateOverride[SpanKey(e.tables)]; ok {
-					h = hh
-				}
-				total += flow * (ev.pm.Lmat + h*actSum + (1-h)*origCost)
-			} else {
-				// In-place merge: one (multi-probe) match executes all
-				// member actions.
-				m := ev.mergedMNames(e.tables)
-				total += flow * (float64(m)*ev.pm.Lmat + actSum)
-			}
-			flow *= 1 - dropP
-		}
+// segTerm returns the expected cost a cache or merge element over span
+// adds per packet entering it, given the span's spanStatsIdx aggregates.
+// kb is spanOverride's key buffer.
+func (ev *Evaluator) segTerm(kind SegKind, names []string, span []int, origCost, actSum float64, kb []byte) (float64, []byte) {
+	if kind == SegCache {
+		// One exact probe always; on a hit the combined action applies;
+		// on a miss the packet falls through to the original tables.
+		h, kb := ev.hitEstimateIdx(names, span, kb)
+		h = ev.invalidationDiscount(h, span)
+		return ev.pm.Lmat + h*actSum + (1-h)*origCost, kb
 	}
-	return total
+	if ev.allExactIdx(span) {
+		// Merged-exact cache with fallback (§3.2.3: "Pipeleon addresses
+		// this by generating a merged exact table without ternary
+		// entries as a cache").
+		h, ok, kb := ev.spanOverride(names, kb)
+		if !ok {
+			h = ev.cfg.MergedCacheHitRate
+		}
+		return ev.pm.Lmat + h*actSum + (1-h)*origCost, kb
+	}
+	// In-place merge: one (multi-probe) match executes all member actions.
+	m := ev.mergedMIdx(span)
+	return float64(m)*ev.pm.Lmat + actSum, kb
 }
 
-// seqLatencyIdx is the dense fast path of seqLatency: it walks the order
-// positions directly against the (position-sorted, disjoint) segments, so
-// no seqElem slice or covered map is built per candidate. Arithmetic is
-// element-for-element identical to seqLatency over buildSequence.
+// seqLatencyIdx returns the expected per-packet latency of a pipelet
+// layout for one packet entering the pipelet: the tables of order (idxs
+// are their dense indices) with the position-sorted, disjoint segments
+// applied. Elements fold left to right as total += flow·term,
+// flow *= survival; the candidate search performs exactly these
+// operations on shared prefixes, so its gains and ScoreOption's agree bit
+// for bit.
 func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int, segs []Segment) float64 {
 	flow := 1.0
 	var total float64
+	var kb []byte
 	si := 0
 	for i := 0; i < len(idxs); {
 		if si < len(segs) && segs[si].Start == i {
@@ -375,22 +361,9 @@ func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int, segs []Segment) f
 			si++
 			span := idxs[i : i+s.Len]
 			origCost, actSum, dropP := ev.spanStatsIdx(span)
-			if s.Kind == SegCache {
-				h := ev.hitEstimateIdx(order[i:i+s.Len], span)
-				h = ev.invalidationDiscount(h, span)
-				total += flow * (ev.pm.Lmat + h*actSum + (1-h)*origCost)
-			} else if ev.allExactIdx(span) {
-				h := ev.cfg.MergedCacheHitRate
-				if len(ev.cfg.HitRateOverride) > 0 {
-					if hh, ok := ev.cfg.HitRateOverride[SpanKey(order[i:i+s.Len])]; ok {
-						h = hh
-					}
-				}
-				total += flow * (ev.pm.Lmat + h*actSum + (1-h)*origCost)
-			} else {
-				m := ev.mergedMIdx(span)
-				total += flow * (float64(m)*ev.pm.Lmat + actSum)
-			}
+			var term float64
+			term, kb = ev.segTerm(s.Kind, order[i:i+s.Len], span, origCost, actSum, kb)
+			total += flow * term
 			flow *= 1 - dropP
 			i += s.Len
 		} else {
@@ -403,99 +376,34 @@ func (ev *Evaluator) seqLatencyIdx(order []string, idxs []int, segs []Segment) f
 	return total
 }
 
-// Name-based shims for the compatibility paths (ScoreOption, group
-// scoring); each resolves indices per call and must stay value-identical
-// to its Idx counterpart.
-
-func (ev *Evaluator) workingSetNames(tables []string) uint64 {
-	const sat = 1 << 40
-	ws := uint64(1)
-	for _, t := range tables {
-		var c uint64
-		if i := ev.idxOf(t); i >= 0 {
-			c = ev.card[i]
+// layoutLatency is seqLatencyIdx over table names, for callers outside
+// the candidate loop. ok is false when the layout names a table the
+// evaluator's program lacks.
+func (ev *Evaluator) layoutLatency(order []string, segs []Segment) (lat float64, ok bool) {
+	idxs := make([]int, len(order))
+	for i, t := range order {
+		if idxs[i] = ev.idxOf(t); idxs[i] < 0 || idxs[i] >= ev.numTables {
+			return 0, false
 		}
-		if c == 0 {
-			c = 1
-		}
-		if ws > sat/c {
-			ws = sat
-			break
-		}
-		ws *= c
 	}
-	if fc := ev.prof.FlowCardinality; fc > 0 && fc < ws {
-		ws = fc
-	}
-	return ws
+	return ev.seqLatencyIdx(order, idxs, segs), true
 }
 
-func (ev *Evaluator) allExactNames(tables []string) bool {
-	for _, t := range tables {
-		if ev.prog.Tables[t].WidestMatchKind() != p4ir.MatchExact {
-			return false
-		}
-	}
-	return true
-}
-
-func (ev *Evaluator) mergedMNames(tables []string) int {
-	const cap = 64
-	m := 1
-	for _, t := range tables {
-		m *= ev.pm.MatchComplexity(ev.prog.Tables[t])
-		if m > cap {
-			return cap
-		}
-	}
-	return m
-}
-
-func (ev *Evaluator) invalidationDiscountNames(h float64, tables []string) float64 {
-	if ev.cfg.InvalidationPenalty > 0 {
-		var upd float64
-		for _, t := range tables {
-			upd += ev.prof.UpdateRate(t)
-		}
-		h /= 1 + upd*ev.cfg.InvalidationPenalty
-	}
-	return h
-}
-
-// segCosts returns the memory and entry-update costs of an option's
-// segments.
-func (ev *Evaluator) segCosts(o *Option) (mem int, upd float64) {
-	for _, s := range o.Segments {
-		span := o.SegTables(s)
-		keyFields := ev.an.CacheKey(span)
-		mem, upd = ev.segCostAccum(mem, upd, s.Kind, ev.spanIdxAlloc(span), len(keyFields))
-	}
-	return mem, upd
-}
-
-// segCostsIdx is the dense fast path of segCosts: span key-field counts
-// come from the per-order scratch cache instead of recomputing
-// an.CacheKey per candidate.
-func (ev *Evaluator) segCostsIdx(sc *evalScratch, order []string, idxs []int, segs []Segment) (mem int, upd float64) {
+// segCostsIdx returns the memory and entry-update costs of a candidate's
+// segments over order oi of the scratch's pipelet; span key-field counts
+// come from the scratch's cache instead of recomputing an.CacheKey per
+// candidate.
+func (ev *Evaluator) segCostsIdx(sc *evalScratch, oi int, order []string, segs []Segment) (mem int, upd float64) {
+	idxs := sc.idxOf(oi)
 	for _, s := range segs {
-		kl := sc.keyLenFor(ev, order, s.Start, s.Len)
+		kl := sc.keyLenFor(ev, oi, order, s.Start, s.Len)
 		mem, upd = ev.segCostAccum(mem, upd, s.Kind, idxs[s.Start:s.Start+s.Len], kl)
 	}
 	return mem, upd
 }
 
-// spanIdxAlloc maps a name span to dense indices (compatibility path).
-func (ev *Evaluator) spanIdxAlloc(span []string) []int {
-	out := make([]int, len(span))
-	for i, t := range span {
-		out[i] = ev.idxOf(t)
-	}
-	return out
-}
-
 // segCostAccum folds one segment's memory and update costs into (mem,
-// upd). Shared by the name-based and dense paths so the arithmetic exists
-// once.
+// upd).
 func (ev *Evaluator) segCostAccum(mem int, upd float64, kind SegKind, span []int, keyFields int) (int, float64) {
 	entryBytes := keyFields*8 + 16
 	switch kind {
@@ -553,12 +461,6 @@ func (ev *Evaluator) segCostAccum(mem int, upd float64, kind SegKind, span []int
 		}
 	}
 	return mem, upd
-}
-
-// PipeletBaseline returns the expected per-entering-packet latency of the
-// pipelet in its current layout.
-func (ev *Evaluator) PipeletBaseline(p *pipelet.Pipelet) float64 {
-	return ev.seqLatency(buildSequence(p.Tables, nil))
 }
 
 // Reach returns P(reach node) under the evaluator's profile.
@@ -683,8 +585,12 @@ func (ev *Evaluator) groupCacheOption(g *pipelet.Group, branchFields []string) *
 	actSum := weightedAct / entryReach
 
 	allTables := g.Tables()
-	h := ev.cfg.hitEstimate(SpanKey(allTables), ev.workingSetNames(allTables))
-	h = ev.invalidationDiscountNames(h, allTables)
+	span := make([]int, len(allTables))
+	for i, t := range allTables {
+		span[i] = ev.idxOf(t)
+	}
+	h, _ := ev.hitEstimateIdx(allTables, span, nil)
+	h = ev.invalidationDiscount(h, span)
 	cached := ev.pm.Lmat + h*actSum + (1-h)*baseline
 	gain := (baseline - cached) * entryReach
 	keyFields := ev.an.CacheKey(allTables)

@@ -2,7 +2,7 @@ package opt
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync"
 
@@ -228,66 +228,14 @@ func GreedyDropOrder(an *deps.Analyzer, tables []string, dropRate map[string]flo
 	return out
 }
 
-// enumerateSegmentations returns every way to assign disjoint contiguous
-// cache and merge segments over the order (§4.2: "for each top-k pipelet,
-// Pipeleon computes all possible optimizations for each technique
-// independently [and] enumerates all valid combinations"). Merging and
-// caching never apply to the same table, which disjointness enforces.
-func enumerateSegmentations(order []string, an *deps.Analyzer, cfg Config) [][]Segment {
-	n := len(order)
-	maxSegs := cfg.MaxSegmentations
-	if maxSegs <= 0 {
-		maxSegs = 20000
-	}
-	var out [][]Segment
-	var rec func(pos int, acc []Segment)
-	rec = func(pos int, acc []Segment) {
-		if len(out) >= maxSegs {
-			return
-		}
-		if pos == n {
-			out = append(out, append([]Segment(nil), acc...))
-			return
-		}
-		// (a) leave the table at pos untouched.
-		rec(pos+1, acc)
-		// (b) cache segment starting here.
-		if cfg.EnableCache {
-			for l := 1; pos+l <= n; l++ {
-				span := order[pos : pos+l]
-				if !an.CanCache(span) {
-					break // a longer span contains the same violation
-				}
-				rec(pos+l, append(acc, Segment{Kind: SegCache, Start: pos, Len: l}))
-			}
-		}
-		// (c) merge segment starting here.
-		if cfg.EnableMerge {
-			maxL := cfg.MergeCap
-			if maxL < 2 {
-				maxL = 2
-			}
-			for l := 2; l <= maxL && pos+l <= n; l++ {
-				span := order[pos : pos+l]
-				if !an.CanMerge(span) {
-					break
-				}
-				rec(pos+l, append(acc, Segment{Kind: SegMerge, Start: pos, Len: l}))
-			}
-		}
-	}
-	rec(0, nil)
-	return out
-}
-
-// evalScratch is the pooled per-order working state of the fused
-// enumerate-and-score loop: the dense index view of the order, the
-// segment accumulator, the precomputed legal span lengths, and a cache of
-// span key-field counts. Pooling it (LocalOptimize runs concurrently
-// across units) keeps the per-candidate path allocation-free.
+// evalScratch is the pooled working state of the fused enumerate-and-score
+// loop: the dense index view of every order, the current order's legal
+// span lengths and per-element model terms, the segment stack of the recursion, and the
+// bounded top-K of candidates kept so far. Pooling it (LocalOptimize runs
+// concurrently across units) keeps the per-candidate path allocation-free.
 type evalScratch struct {
-	orderIdx []int
-	segs     []Segment
+	n      int
+	allIdx []int // dense table indices of every order, n per order
 	// maxCache[pos] / maxMerge[pos] are the longest legal cache / merge
 	// span lengths starting at pos — the deps checks are monotone over
 	// prefixes (the enumeration breaks at the first violation), so one
@@ -295,42 +243,86 @@ type evalScratch struct {
 	// calls.
 	maxCache []int
 	maxMerge []int
-	// keyLen caches len(an.CacheKey(span)) per (start, len), -1 = unset.
+	// Per-element terms of the current order. A layout's latency folds its
+	// elements left to right as total += flow·term, flow *= surv (see
+	// seqLatencyIdx); tabTerm/tabSurv[pos] hold the plain table at pos, and
+	// cacheTerm/mergeTerm/spanSurv[pos*(n+1)+l] the legal span of length l
+	// starting at pos. Computing them once per order leaves each candidate
+	// with two multiply-adds per element, shared with every candidate that
+	// has the same prefix.
+	tabTerm   []float64
+	tabSurv   []float64
+	cacheTerm []float64
+	mergeTerm []float64
+	spanSurv  []float64
+	// keyLen caches len(an.CacheKey(span)) per (order, start, len),
+	// -1 = unset.
 	keyLen []int
-	n      int
+	// keyBuf assembles HitRateOverride keys without allocating.
+	keyBuf []byte
+
+	// State of the segmentation recursion over the current order.
+	segs     []Segment
+	oi       int // index of the current order; order 0 is the original
+	emitted  int // segmentations emitted for the current order
+	maxSegs  int
+	scored   int // candidates scored across all orders
+	baseline float64
+	reach    float64
+	top      topK
 }
 
 var evalScratchPool = sync.Pool{New: func() any { return new(evalScratch) }}
 
-// prepareOrder points the scratch at one table order.
-func (sc *evalScratch) prepareOrder(ev *Evaluator, order []string) {
-	n := len(order)
+// begin sizes the scratch for a pipelet of n tables searched in numOrders
+// orders and empties its key-length cache.
+func (sc *evalScratch) begin(n, numOrders int) {
 	sc.n = n
-	sc.orderIdx = sc.orderIdx[:0]
-	for _, t := range order {
-		sc.orderIdx = append(sc.orderIdx, ev.nodeIdx[t])
+	sc.allIdx = resize(sc.allIdx, numOrders*n)
+	sc.maxCache = resize(sc.maxCache, n)
+	sc.maxMerge = resize(sc.maxMerge, n)
+	sc.tabTerm = resize(sc.tabTerm, n)
+	sc.tabSurv = resize(sc.tabSurv, n)
+	sc.cacheTerm = resize(sc.cacheTerm, n*(n+1))
+	sc.mergeTerm = resize(sc.mergeTerm, n*(n+1))
+	sc.spanSurv = resize(sc.spanSurv, n*(n+1))
+	sc.keyLen = resize(sc.keyLen, numOrders*(n+1)*(n+1))
+	for i := range sc.keyLen {
+		sc.keyLen[i] = -1
 	}
-	if cap(sc.maxCache) < n {
-		sc.maxCache = make([]int, n)
-		sc.maxMerge = make([]int, n)
+}
+
+// idxOf returns the dense table indices of order oi.
+func (sc *evalScratch) idxOf(oi int) []int { return sc.allIdx[oi*sc.n : (oi+1)*sc.n] }
+
+// prepareOrder points the scratch at order oi: it records the order's
+// dense indices and computes its legal span lengths and the model term of
+// every element the segmentation recursion can place.
+func (sc *evalScratch) prepareOrder(ev *Evaluator, oi int, order []string) {
+	idx := sc.idxOf(oi)
+	for pos, t := range order {
+		idx[pos] = ev.nodeIdx[t]
 	}
-	sc.maxCache = sc.maxCache[:n]
-	sc.maxMerge = sc.maxMerge[:n]
+	n := sc.n
+	w := n + 1
 	mergeMax := ev.cfg.MergeCap
 	if mergeMax < 2 {
 		mergeMax = 2
 	}
 	for pos := 0; pos < n; pos++ {
-		m := 0
+		ti := idx[pos]
+		sc.tabTerm[pos] = ev.matchLat[ti] + ev.actLat[ti]
+		sc.tabSurv[pos] = 1 - ev.dropRate[ti]
+		mc := 0
 		if ev.cfg.EnableCache {
 			for l := 1; pos+l <= n; l++ {
 				if !ev.an.CanCache(order[pos : pos+l]) {
 					break // a longer span contains the same violation
 				}
-				m = l
+				mc = l
 			}
 		}
-		sc.maxCache[pos] = m
+		sc.maxCache[pos] = mc
 		mm := 0
 		if ev.cfg.EnableMerge {
 			for l := 2; l <= mergeMax && pos+l <= n; l++ {
@@ -341,27 +333,183 @@ func (sc *evalScratch) prepareOrder(ev *Evaluator, order []string) {
 			}
 		}
 		sc.maxMerge[pos] = mm
-	}
-	need := (n + 1) * (n + 1)
-	if cap(sc.keyLen) < need {
-		sc.keyLen = make([]int, need)
-	}
-	sc.keyLen = sc.keyLen[:need]
-	for i := range sc.keyLen {
-		sc.keyLen[i] = -1
+		for l := 1; l <= max(mc, mm); l++ {
+			names, span := order[pos:pos+l], idx[pos:pos+l]
+			origCost, actSum, dropP := ev.spanStatsIdx(span)
+			slot := pos*w + l
+			sc.spanSurv[slot] = 1 - dropP
+			if l <= mc {
+				sc.cacheTerm[slot], sc.keyBuf = ev.segTerm(SegCache, names, span, origCost, actSum, sc.keyBuf)
+			}
+			if l >= 2 && l <= mm {
+				sc.mergeTerm[slot], sc.keyBuf = ev.segTerm(SegMerge, names, span, origCost, actSum, sc.keyBuf)
+			}
+		}
 	}
 }
 
-// keyLenFor returns len(an.CacheKey(order[start:start+l])), computing it
-// at most once per (order, start, l).
-func (sc *evalScratch) keyLenFor(ev *Evaluator, order []string, start, l int) int {
-	slot := start*(sc.n+1) + l
-	if kl := sc.keyLen[slot]; kl >= 0 {
-		return kl
+// resize returns s with length n, reallocating only when it must grow.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
 	}
-	kl := len(ev.an.CacheKey(order[start : start+l]))
-	sc.keyLen[slot] = kl
-	return kl
+	return s[:n]
+}
+
+// keyLenFor returns len(an.CacheKey(order[start:start+l])) for order oi,
+// computing it at most once per (order, start, l).
+func (sc *evalScratch) keyLenFor(ev *Evaluator, oi int, order []string, start, l int) int {
+	w := sc.n + 1
+	slot := &sc.keyLen[(oi*w+start)*w+l]
+	if *slot < 0 {
+		*slot = len(ev.an.CacheKey(order[start : start+l]))
+	}
+	return *slot
+}
+
+// segment enumerates the segmentations of the current order from pos on,
+// in the emission order and under the MaxSegmentations cap of
+// enumerateSegmentations: (a) leave the table at pos untouched, (b) cache
+// a span starting at pos, (c) merge a span starting at pos. total and flow
+// are the latency and surviving traffic of the layout's prefix, folded
+// with exactly the float operations seqLatencyIdx performs, so each leaf's
+// total is bit-identical to scoring the whole candidate from scratch.
+func (sc *evalScratch) segment(pos int, total, flow float64) {
+	if sc.emitted >= sc.maxSegs {
+		return
+	}
+	if pos == sc.n {
+		sc.emitted++
+		if sc.oi == 0 && len(sc.segs) == 0 {
+			return // identity
+		}
+		sc.scored++
+		if gain := (sc.baseline - total) * sc.reach; gain > 1e-12 {
+			sc.top.offer(gain, sc.oi, sc.segs)
+		}
+		return
+	}
+	sc.segment(pos+1, total+flow*sc.tabTerm[pos], flow*sc.tabSurv[pos])
+	w := sc.n + 1
+	for l := 1; l <= sc.maxCache[pos]; l++ {
+		slot := pos*w + l
+		sc.segs = append(sc.segs, Segment{Kind: SegCache, Start: pos, Len: l})
+		sc.segment(pos+l, total+flow*sc.cacheTerm[slot], flow*sc.spanSurv[slot])
+		sc.segs = sc.segs[:len(sc.segs)-1]
+	}
+	for l := 2; l <= sc.maxMerge[pos]; l++ {
+		slot := pos*w + l
+		sc.segs = append(sc.segs, Segment{Kind: SegMerge, Start: pos, Len: l})
+		sc.segment(pos+l, total+flow*sc.mergeTerm[slot], flow*sc.spanSurv[slot])
+		sc.segs = sc.segs[:len(sc.segs)-1]
+	}
+}
+
+// topEntry is one candidate held by topK.
+type topEntry struct {
+	gain float64
+	seq  int // emission order across the whole pipelet
+	oi   int // index of the candidate's order
+	off  int // the candidate's segments are arena[off : off+nseg]
+	nseg int
+}
+
+// topK keeps the k best candidates seen so far — highest gain first, ties
+// to the earlier emission — which is exactly what a stable sort by gain
+// followed by truncation to k keeps. It is a min-heap whose root is the
+// worst kept candidate; each entry owns a fixed arena slot wide enough for
+// any segmentation of the pipelet, reused when a better candidate evicts
+// it.
+type topK struct {
+	k, width int
+	seq      int
+	heap     []topEntry
+	arena    []Segment
+}
+
+func (t *topK) reset(k, width int) {
+	t.k, t.width, t.seq = k, width, 0
+	t.heap = t.heap[:0]
+}
+
+func (t *topK) segsOf(e *topEntry) []Segment { return t.arena[e.off : e.off+e.nseg] }
+
+// worse reports whether a ranks below b.
+func worse(a, b *topEntry) bool {
+	return a.gain < b.gain || (a.gain == b.gain && a.seq > b.seq)
+}
+
+// offer considers one candidate. Every offer comes later in emission order
+// than the kept ones, so when the heap is full a candidate enters only by
+// strictly beating the worst kept gain: O(1) for the common loser.
+func (t *topK) offer(gain float64, oi int, segs []Segment) {
+	seq := t.seq
+	t.seq++
+	if len(t.heap) < t.k {
+		off := len(t.heap) * t.width
+		if need := off + t.width; len(t.arena) < need {
+			t.arena = slices.Grow(t.arena, need-len(t.arena))[:need]
+		}
+		copy(t.arena[off:], segs)
+		t.heap = append(t.heap, topEntry{})
+		t.up(len(t.heap)-1, topEntry{gain: gain, seq: seq, oi: oi, off: off, nseg: len(segs)})
+		return
+	}
+	if len(t.heap) == 0 || gain <= t.heap[0].gain {
+		return
+	}
+	off := t.heap[0].off
+	copy(t.arena[off:], segs)
+	t.down(0, topEntry{gain: gain, seq: seq, oi: oi, off: off, nseg: len(segs)})
+}
+
+// up places x at the free slot i and restores the heap order above it,
+// moving each displaced parent once instead of swapping.
+func (t *topK) up(i int, x topEntry) {
+	h := t.heap
+	for i > 0 {
+		p := (i - 1) / 2
+		if !worse(&x, &h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+}
+
+// down places x at the free slot i and restores the heap order below it.
+func (t *topK) down(i int, x topEntry) {
+	h := t.heap
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && worse(&h[r], &h[c]) {
+			c = r
+		}
+		if !worse(&h[c], &x) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = x
+}
+
+// drain heap-sorts the kept candidates in place, best first, and returns
+// them.
+func (t *topK) drain() []topEntry {
+	h := t.heap
+	for end := len(h) - 1; end > 0; end-- {
+		x := h[end]
+		h[end] = h[0] // the worst remaining candidate
+		t.heap = h[:end]
+		t.down(0, x)
+	}
+	t.heap = h
+	return h
 }
 
 // LocalOptimize enumerates and scores all candidates for one pipelet
@@ -369,16 +517,23 @@ func (sc *evalScratch) keyLenFor(ev *Evaluator, order []string, start, l int) in
 // descending, truncated to cfg.MaxOptionsPerPipelet, and exclude
 // candidates with non-positive gain (the implicit "do nothing" option is
 // always available to the global search).
-//
-// Enumeration and scoring are fused: the segmentation recursion (same
-// emission order and MaxSegmentations cap as enumerateSegmentations)
-// evaluates each candidate against the dense evaluator in place, and only
-// candidates that clear the gain threshold materialize an Option. The
-// candidate stream, and therefore the sorted result, is identical to
-// enumerating first and scoring after.
 func (ev *Evaluator) LocalOptimize(p *pipelet.Pipelet) []*Option {
+	opts, _ := ev.localOptimize(p)
+	return opts
+}
+
+// localOptimize is LocalOptimize that also reports how many candidates it
+// scored. Enumeration and scoring are fused: for every order the
+// segmentation recursion walks the candidates in the emission order of
+// enumerating first and scoring after, scores each leaf from its shared
+// prefix and the order's precomputed element terms, and offers it to a
+// bounded top-K. Options, with their memory and update costs, are built
+// only for the survivors. The result is identical, bit for bit, to
+// scoring every candidate with seqLatencyIdx, stable-sorting by gain and
+// truncating.
+func (ev *Evaluator) localOptimize(p *pipelet.Pipelet) ([]*Option, int) {
 	if p.SwitchCase || p.Len() == 0 {
-		return nil
+		return nil, 0
 	}
 	tables := p.Tables
 	var orders [][]string
@@ -389,63 +544,51 @@ func (ev *Evaluator) LocalOptimize(p *pipelet.Pipelet) []*Option {
 	}
 	sc := evalScratchPool.Get().(*evalScratch)
 	defer evalScratchPool.Put(sc)
-	sc.prepareOrder(ev, tables)
-	baseline := ev.seqLatencyIdx(tables, sc.orderIdx, nil)
-	reach := ev.reachOf(p.Head())
-	maxSegs := ev.cfg.MaxSegmentations
-	if maxSegs <= 0 {
-		maxSegs = 20000
+	sc.maxSegs = ev.cfg.MaxSegmentations
+	if sc.maxSegs <= 0 {
+		sc.maxSegs = 20000
 	}
-	n := len(tables)
-	var options []*Option
+	sc.scored = 0
+	sc.reach = ev.reachOf(p.Head())
+	sc.top.reset(ev.cfg.MaxOptionsPerPipelet, len(tables))
+	sc.begin(len(tables), len(orders))
 	for oi, order := range orders {
-		sc.prepareOrder(ev, order)
-		segs := sc.segs[:0]
-		emitted := 0
-		var rec func(pos int)
-		rec = func(pos int) {
-			if emitted >= maxSegs {
-				return
-			}
-			if pos == n {
-				emitted++
-				if oi == 0 && len(segs) == 0 {
-					return // identity
-				}
-				lat := ev.seqLatencyIdx(order, sc.orderIdx, segs)
-				gain := (baseline - lat) * reach
-				if gain > 1e-12 {
-					var segsCopy []Segment
-					if len(segs) > 0 {
-						segsCopy = append([]Segment(nil), segs...)
-					}
-					o := &Option{Kind: OptPipelet, Pipelet: p, Order: order, Segments: segsCopy, Gain: gain}
-					o.MemCost, o.UpdateCost = ev.segCostsIdx(sc, order, sc.orderIdx, segsCopy)
-					options = append(options, o)
-				}
-				return
-			}
-			// (a) leave the table at pos untouched.
-			rec(pos + 1)
-			// (b) cache segment starting here.
-			for l := 1; l <= sc.maxCache[pos]; l++ {
-				segs = append(segs, Segment{Kind: SegCache, Start: pos, Len: l})
-				rec(pos + l)
-				segs = segs[:len(segs)-1]
-			}
-			// (c) merge segment starting here.
-			for l := 2; l <= sc.maxMerge[pos]; l++ {
-				segs = append(segs, Segment{Kind: SegMerge, Start: pos, Len: l})
-				rec(pos + l)
-				segs = segs[:len(segs)-1]
-			}
+		sc.prepareOrder(ev, oi, order)
+		if oi == 0 { // orders[0] is the original layout
+			sc.baseline = ev.seqLatencyIdx(order, sc.idxOf(0), nil)
 		}
-		rec(0)
-		sc.segs = segs[:0]
+		sc.oi, sc.emitted = oi, 0
+		sc.segs = sc.segs[:0]
+		sc.segment(0, 0, 1)
 	}
-	sort.SliceStable(options, func(i, j int) bool { return options[i].Gain > options[j].Gain })
-	if len(options) > ev.cfg.MaxOptionsPerPipelet {
-		options = options[:ev.cfg.MaxOptionsPerPipelet]
+	return ev.materialize(sc, p, orders), sc.scored
+}
+
+// materialize builds the Options of the kept candidates, gain descending
+// with ties in emission order.
+func (ev *Evaluator) materialize(sc *evalScratch, p *pipelet.Pipelet, orders [][]string) []*Option {
+	kept := sc.top.drain()
+	if len(kept) == 0 {
+		return nil
 	}
-	return options
+	nseg := 0
+	for i := range kept {
+		nseg += kept[i].nseg
+	}
+	opts := make([]Option, len(kept))
+	segs := make([]Segment, 0, nseg)
+	out := make([]*Option, len(kept))
+	for i := range kept {
+		e := &kept[i]
+		o := &opts[i]
+		*o = Option{Kind: OptPipelet, Pipelet: p, Order: orders[e.oi], Gain: e.gain}
+		if e.nseg > 0 {
+			start := len(segs)
+			segs = append(segs, sc.top.segsOf(e)...)
+			o.Segments = segs[start:len(segs):len(segs)]
+		}
+		o.MemCost, o.UpdateCost = ev.segCostsIdx(sc, e.oi, o.Order, o.Segments)
+		out[i] = o
+	}
+	return out
 }

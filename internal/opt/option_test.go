@@ -371,8 +371,8 @@ func TestSwitchCasePipeletHasNoOptions(t *testing.T) {
 func TestHitEstimateShape(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.CacheBudgetEntries = 100
-	small := cfg.hitEstimate("a", 50)
-	big := cfg.hitEstimate("b", 100000)
+	small := cfg.hitEstimate(50)
+	big := cfg.hitEstimate(100000)
 	if small != cfg.EstimatedHitRate {
 		t.Errorf("fitting working set should use default rate, got %v", small)
 	}
@@ -380,7 +380,9 @@ func TestHitEstimateShape(t *testing.T) {
 		t.Errorf("oversized working set must reduce the estimate: %v", big)
 	}
 	cfg.HitRateOverride = map[string]float64{"c": 0.42}
-	if got := cfg.hitEstimate("c", 10); got != 0.42 {
+	prog := mustChain(t, plainSpec("c", "f.c", p4ir.MatchExact))
+	ev := NewEvaluator(prog, profile.New(), costmodel.BlueField2(), cfg)
+	if got, _ := ev.hitEstimateIdx([]string{"c"}, []int{ev.idxOf("c")}, nil); got != 0.42 {
 		t.Errorf("override ignored: %v", got)
 	}
 }

@@ -11,12 +11,17 @@ import (
 // uses it to decide whether a newly found plan beats the plan already
 // deployed by enough to justify a reconfiguration (§3.2.2's "if the
 // performance is not expected, Pipeleon will adjust" — and, implicitly,
-// if it is as expected, leave it alone).
+// if it is as expected, leave it alone). It scores with the same dense
+// arithmetic as the candidate search, so under the profile a search ran
+// with it reproduces the search's gains exactly.
 func (ev *Evaluator) ScoreOption(o *Option) float64 {
 	switch o.Kind {
 	case OptPipelet:
-		baseline := ev.seqLatency(buildSequence(o.Pipelet.Tables, nil))
-		lat := ev.seqLatency(buildSequence(o.Order, o.Segments))
+		baseline, ok := ev.layoutLatency(o.Pipelet.Tables, nil)
+		lat, ok2 := ev.layoutLatency(o.Order, o.Segments)
+		if !ok || !ok2 {
+			return 0
+		}
 		return (baseline - lat) * ev.reachOf(o.Pipelet.Head())
 	case OptGroupCombo:
 		var g float64

@@ -1,7 +1,6 @@
 package opt
 
 import (
-	"math"
 	"testing"
 
 	"pipeleon/internal/costmodel"
@@ -9,8 +8,8 @@ import (
 )
 
 // Property: re-scoring a plan under the SAME profile that produced it must
-// reproduce each option's gain — the hysteresis comparison in the runtime
-// is only sound if ScoreOption and the search agree.
+// reproduce each option's gain exactly — the hysteresis comparison in the
+// runtime is only sound if ScoreOption and the search agree.
 func TestScoreOptionMatchesSearchGain(t *testing.T) {
 	pm := costmodel.EmulatedNIC()
 	for trial := 0; trial < 10; trial++ {
@@ -28,12 +27,12 @@ func TestScoreOptionMatchesSearchGain(t *testing.T) {
 		ev := NewEvaluator(prog, prof, pm, cfg)
 		for _, o := range sr.Plan {
 			re := ev.ScoreOption(o)
-			if math.Abs(re-o.Gain) > 1e-6*(1+math.Abs(o.Gain)) {
+			if re != o.Gain {
 				t.Errorf("trial %d: option %s: search gain %.4f != rescore %.4f", trial, o, o.Gain, re)
 			}
 		}
 		total := ReScore(prog, prof, pm, cfg, sr.Plan)
-		if math.Abs(total-sr.Gain) > 1e-6*(1+sr.Gain) {
+		if total != sr.Gain {
 			t.Errorf("trial %d: plan gain %.4f != rescore total %.4f", trial, sr.Gain, total)
 		}
 	}

@@ -31,7 +31,10 @@ type SearchResult struct {
 	BaselineLatency float64
 	// Elapsed is the wall-clock search time.
 	Elapsed time.Duration
-	// CandidatesEvaluated counts scored options across all units.
+	// CandidatesEvaluated counts the candidates scored across all units:
+	// every enumerated pipelet layout (kept or not), plus the group and
+	// placement options built. A unit served from a warm session's memo
+	// counts what its enumeration scored.
 	CandidatesEvaluated int
 }
 

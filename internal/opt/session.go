@@ -248,8 +248,9 @@ func (s *Session) searchLocked(prof *profile.Profile) (*SearchResult, error) {
 			memberOpts := make([][]*Option, len(t.group.Members))
 			cand := 0
 			for k, m := range t.group.Members {
-				memberOpts[k] = ev.LocalOptimize(m)
-				cand += len(memberOpts[k])
+				var scored int
+				memberOpts[k], scored = ev.localOptimize(m)
+				cand += scored
 			}
 			opts := ev.GroupOptions(t.group, memberOpts)
 			outs[miss[j]] = unitOut{
@@ -258,8 +259,8 @@ func (s *Session) searchLocked(prof *profile.Profile) (*SearchResult, error) {
 			}
 			return
 		}
-		opts := ev.LocalOptimize(t.p)
-		outs[miss[j]] = unitOut{unit: Unit{Name: t.p.String(), Options: opts}, candidates: len(opts)}
+		opts, scored := ev.localOptimize(t.p)
+		outs[miss[j]] = unitOut{unit: Unit{Name: t.p.String(), Options: opts}, candidates: scored}
 	})
 	for _, i := range miss {
 		s.memo[keys[i]] = &unitEntry{
